@@ -249,7 +249,8 @@ double time_best(int reps, const Fn& fn) {
   return best;
 }
 
-void run_kernel_summary() {
+/// Returns false when any checksum pair differs.
+bool run_kernel_summary() {
   bench::banner("bench_kernels: scalar vs dispatched microkernel sgemm",
                 "single-node kernel efficiency underpins the time-to-accuracy "
                 "scaling argument (paper Sec. 1: 'ImageNet training in "
@@ -359,14 +360,93 @@ void run_kernel_summary() {
     summary.add("conv_checksum_match", static_cast<std::int64_t>(match));
   }
 
+  bench::section(
+      "conv backward at the perfbench conv shapes, batch 32, one thread: "
+      "im2col vs fused, best of 5");
+  {
+    struct ConvShape {
+      const char* name;
+      std::int64_t in_c, out_c, k, stride, hw;
+      bool bias;
+    };
+    // tiny_alexnet width 16 (alexnet-b512-lars, alexnet-dp2-b32-ft) and
+    // tiny_resnet(3) (resnet20-dp2-overlap); the stem is shared.
+    const ConvShape shapes[] = {
+        {"alexnet_3x16_16", 3, 16, 3, 1, 16, true},
+        {"alexnet_16x32_8", 16, 32, 3, 1, 8, true},
+        {"alexnet_32x32_4", 32, 32, 3, 1, 4, true},
+        {"resnet_16x16_16", 16, 16, 3, 1, 16, false},
+        {"resnet_16x32s2_16", 16, 32, 3, 2, 16, false},
+        {"resnet_1x1_16x32s2_16", 16, 32, 1, 2, 16, false},
+        {"resnet_32x32_8", 32, 32, 3, 1, 8, false},
+        {"resnet_32x64s2_8", 32, 64, 3, 2, 8, false},
+        {"resnet_1x1_32x64s2_8", 32, 64, 1, 2, 8, false},
+        {"resnet_64x64_4", 64, 64, 3, 1, 4, false},
+    };
+    bool bwd_match = true;
+    std::printf("%-24s %12s %12s %9s\n", "shape", "im2col ms", "fused ms",
+                "speedup");
+    for (const ConvShape& sh : shapes) {
+      nn::Conv2d conv(sh.in_c, sh.out_c, sh.k, sh.stride, sh.k / 2, sh.bias);
+      Rng rng(static_cast<std::uint64_t>(sh.in_c * 100 + sh.out_c));
+      conv.init(rng);
+      Tensor x({32, sh.in_c, sh.hw, sh.hw});
+      rng.fill_normal(x.span(), 0.0f, 1.0f);
+      Tensor y, dx;
+      conv.forward(x, y, true, one);
+      Tensor dy(y.shape());
+      rng.fill_normal(dy.span(), 0.0f, 1.0f);
+      // dx, then the gradients of one backward from zero.
+      auto backward_bytes = [&] {
+        for (auto& p : conv.params()) p.grad->zero();
+        conv.backward(x, y, dy, dx, one);
+        std::vector<float> out(dx.span().begin(), dx.span().end());
+        for (auto& p : conv.params()) {
+          out.insert(out.end(), p.grad->span().begin(), p.grad->span().end());
+        }
+        return bits_checksum(out);
+      };
+      nn::Conv2d::set_direct_enabled(false);
+      const std::uint64_t sum_im2col = backward_bytes();
+      const double t_im2col =
+          time_best(5, [&] { conv.backward(x, y, dy, dx, one); });
+      nn::Conv2d::set_direct_enabled(true);
+      const std::uint64_t sum_fused = backward_bytes();
+      const double t_fused =
+          time_best(5, [&] { conv.backward(x, y, dy, dx, one); });
+      const bool match = sum_im2col == sum_fused;
+      bwd_match = bwd_match && match;
+      std::printf("%-24s %12.3f %12.3f %8.2fx %s\n", sh.name, t_im2col * 1e3,
+                  t_fused * 1e3, t_im2col / t_fused,
+                  match ? "" : "CHECKSUM MISMATCH");
+      const std::string prefix = std::string("conv_bwd_") + sh.name;
+      summary.add(prefix + "_im2col_ms", t_im2col * 1e3);
+      summary.add(prefix + "_fused_ms", t_fused * 1e3);
+      char hex[32];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(sum_im2col));
+      summary.add_string(prefix + "_im2col_checksum", hex);
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(sum_fused));
+      summary.add_string(prefix + "_fused_checksum", hex);
+    }
+    all_checksums_match = all_checksums_match && bwd_match;
+    summary.add("conv_bwd_checksum_match",
+                static_cast<std::int64_t>(bwd_match));
+  }
+
   const std::string path = summary.write();
   std::printf("\nwrote %s\n\n", path.c_str());
+  return all_checksums_match;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  run_kernel_summary();
+  if (!run_kernel_summary()) {
+    std::fprintf(stderr, "bench_kernels: checksum mismatch\n");
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -9,7 +9,7 @@
 
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/kernels/conv_direct.hpp"
+#include "tensor/kernels/conv_backward.hpp"
 
 namespace minsgd::nn {
 namespace {
@@ -125,6 +125,16 @@ void Conv2d::col2im(const float* col, Tensor& dx, std::int64_t n,
   }
 }
 
+kernels::Conv2dGeom Conv2d::geometry(const Shape& input) const {
+  const Shape out = output_shape(input);
+  return {in_c_, input[2], input[3], out_c_, out[2], out[3], k_, stride_, pad_};
+}
+
+bool Conv2d::fused_backward(const Shape& input) const {
+  return direct_enabled() && groups_ == 1 &&
+         kernels::conv2d_backward_fused_eligible(geometry(input));
+}
+
 std::int64_t Conv2d::backward_chunks(std::int64_t batch) const {
   // Chunk count derived from (batch, weight size) only — never the thread
   // count — capping per-chunk dW partial memory at ~8 MB while keeping
@@ -161,9 +171,7 @@ void Conv2d::plan_backward(PlanBuilder& builder, const Shape& input) {
       has_bias_ ? builder.scratch(chunks * out_c_, step) : kNoTensor;
   plan_bwd_col_ = kNoTensor;
   plan_bwd_dcol_ = kNoTensor;
-  const bool direct1x1 = direct_enabled() && groups_ == 1 && k_ == 1 &&
-                         stride_ == 1 && pad_ == 0;
-  if (!direct1x1) {
+  if (!fused_backward(input)) {
     const std::int64_t col_elems = in_c_ * k_ * k_ * out[2] * out[3];
     plan_bwd_col_ = builder.scratch(chunks * col_elems, step);
     plan_bwd_dcol_ = builder.scratch(chunks * col_elems, step);
@@ -206,12 +214,9 @@ void Conv2d::do_forward(const Tensor& x, Tensor& y, bool /*training*/,
   }
   if (direct) {
     // Stride-1 3x3: fused direct conv — im2col folded into B-panel packing.
-    const kernels::Conv2dGeom geom{in_c_, x.shape()[2], x.shape()[3],
-                                   out_c_,  out_h,       out_w,
-                                   k_,      stride_,     pad_};
     kernels::conv2d_forward_direct(ctx, x.data(), w_.data(),
                                    has_bias_ ? b_.data() : nullptr, y.data(),
-                                   batch, geom);
+                                   batch, geometry(x.shape()));
     return;
   }
 
@@ -271,16 +276,20 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
   const std::span<float> db_parts =
       has_bias_ ? pc.floats(plan_bwd_db_, chunks * out_c_) : std::span<float>{};
 
-  // 1x1 stride-1 unpadded skips the col buffers entirely: the column
-  // matrix is the input slice and dcol is dx itself. Bit-identical to
-  // the im2col path (col2im adds each dcol element once onto zero).
-  const bool direct1x1 = direct_enabled() && groups_ == 1 && k_ == 1 &&
-                         stride_ == 1 && pad_ == 0;
-  const std::int64_t col_elems = direct1x1 ? 0 : in_c_ * k_ * k_ * spatial;
+  // Ungrouped shapes take the fused kernels: no col/dcol buffers, W^T
+  // packed once here on the calling thread (read-only inside the region),
+  // and the same bytes as the im2col path below.
+  const bool fused = fused_backward(x.shape());
+  const kernels::Conv2dGeom geom = geometry(x.shape());
+  const kernels::ConvBackward cb =
+      fused ? kernels::conv2d_backward_begin(w_.data(), geom)
+            : kernels::ConvBackward{};
+  const std::int64_t in_plane = in_c_ * geom.h * geom.w;
+  const std::int64_t col_elems = fused ? 0 : in_c_ * k_ * k_ * spatial;
   const std::span<float> cols =
-      direct1x1 ? std::span<float>{} : pc.floats(plan_bwd_col_, chunks * col_elems);
+      fused ? std::span<float>{} : pc.floats(plan_bwd_col_, chunks * col_elems);
   const std::span<float> dcols =
-      direct1x1 ? std::span<float>{} : pc.floats(plan_bwd_dcol_, chunks * col_elems);
+      fused ? std::span<float>{} : pc.floats(plan_bwd_dcol_, chunks * col_elems);
 
   ctx.for_chunks_n(
       batch, chunks, [&](std::int64_t c, std::int64_t lo, std::int64_t hi) {
@@ -291,19 +300,14 @@ void Conv2d::do_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
           dbp = db_parts.data() + c * out_c_;
           std::fill_n(dbp, static_cast<std::size_t>(out_c_), 0.0f);
         }
-        float* col = direct1x1 ? nullptr : cols.data() + c * col_elems;
-        float* dcol = direct1x1 ? nullptr : dcols.data() + c * col_elems;
+        float* col = fused ? nullptr : cols.data() + c * col_elems;
+        float* dcol = fused ? nullptr : dcols.data() + c * col_elems;
         for (std::int64_t n = lo; n < hi; ++n) {
-          if (direct1x1) {
-            const float* dy_n = dy.data() + n * out_c_ * spatial;
-            // dW(partial) += dy_n (out_c x spatial) * x_n^T (spatial x in_c)
-            sgemm(ctx, Trans::kNo, Trans::kYes, out_c_, in_c_, spatial, 1.0f,
-                  dy_n, spatial, x.data() + n * in_c_ * spatial, spatial, 1.0f,
-                  dwp, in_c_);
-            // dx_n = W^T (in_c x out_c) * dy_n (out_c x spatial)
-            sgemm(ctx, Trans::kYes, Trans::kNo, in_c_, spatial, out_c_, 1.0f,
-                  w_.data(), in_c_, dy_n, spatial, 0.0f,
-                  dx.data() + n * in_c_ * spatial, spatial);
+          if (fused) {
+            kernels::conv2d_backward_image(
+                ctx, cb, geom, w_.data(), x.data() + n * in_plane,
+                dy.data() + n * out_c_ * spatial, dwp,
+                dx.data() + n * in_plane);
           } else {
             im2col(x, n, col, out_h, out_w);
             for (std::int64_t g = 0; g < groups_; ++g) {

@@ -1,5 +1,6 @@
-// Conv2d: 2-D convolution lowered to im2col + sgemm, with a direct
-// (im2col-free) fast path for 1x1 and stride-1 3x3 ungrouped shapes.
+// Conv2d: 2-D convolution lowered to im2col + sgemm, with direct
+// (im2col-free) paths: forward for 1x1 and stride-1 3x3 ungrouped shapes,
+// backward for every ungrouped shape.
 #pragma once
 
 #include <cstdint>
@@ -7,6 +8,7 @@
 
 #include "nn/layer.hpp"
 #include "nn/plan.hpp"
+#include "tensor/kernels/conv_direct.hpp"
 
 namespace minsgd::nn {
 
@@ -37,11 +39,12 @@ class Conv2d final : public Layer {
   Shape plan_forward(PlanBuilder& builder, const Shape& input) override;
   void plan_backward(PlanBuilder& builder, const Shape& input) override;
 
-  /// Process-wide toggle for the direct (im2col-free) conv path. On by
-  /// default; MINSGD_CONV_DIRECT=off/0/false disables it at startup. The
-  /// im2col path stays the semantic reference — for shapes where sgemm takes
-  /// its packed path the two produce bit-identical outputs, so tests and
-  /// benches flip this to compare them.
+  /// Process-wide toggle for the direct (im2col-free) conv paths, forward
+  /// and backward. On by default; MINSGD_CONV_DIRECT=off/0/false disables
+  /// it at startup. The im2col path stays the semantic reference — the
+  /// fused backward always matches it bytewise, the direct forward where
+  /// sgemm takes its packed path — so tests and benches flip this to
+  /// compare them.
   static void set_direct_enabled(bool on);
   static bool direct_enabled();
 
@@ -58,6 +61,10 @@ class Conv2d final : public Layer {
   void col2im(const float* col, Tensor& dx, std::int64_t n, std::int64_t out_h,
               std::int64_t out_w) const;
 
+  kernels::Conv2dGeom geometry(const Shape& input) const;
+  /// Backward runs the fused (im2col-free) kernels for this input shape.
+  bool fused_backward(const Shape& input) const;
+
   /// Backward dW-partial chunk count: a function of (batch, weight size)
   /// only, shared by plan_backward and do_backward so the planned scratch
   /// block always matches the runtime request.
@@ -68,7 +75,7 @@ class Conv2d final : public Layer {
   Tensor w_, b_, dw_, db_;
 
   // Scratch ids assigned by the most recent plan walk (kNoTensor when the
-  // plan decided the scratch is not needed, e.g. direct paths).
+  // plan decided the scratch is not needed, e.g. direct/fused paths).
   TensorId plan_fwd_col_ = kNoTensor;
   TensorId plan_bwd_col_ = kNoTensor;
   TensorId plan_bwd_dcol_ = kNoTensor;

@@ -17,6 +17,11 @@ class ComputeContext;
 
 enum class Trans { kNo, kYes };
 
+/// sgemm takes its direct scalar path when m*n*k <= this and the packed
+/// microkernels above it. Shape-only, so the path never depends on threads
+/// or ISA; the fused conv backward applies the same rule to its products.
+inline constexpr std::int64_t kSmallGemmFlops = std::int64_t{1} << 18;
+
 /// Row-major sgemm. A is (M x K) if ta==kNo else (K x M); B is (K x N) if
 /// tb==kNo else (N x K); C is always (M x N) with leading dimension N.
 /// lda/ldb are the leading dimensions of A/B as stored.

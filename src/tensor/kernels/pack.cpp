@@ -9,7 +9,7 @@ namespace minsgd::kernels {
 
 float* pack_scratch(int slot, std::size_t elems) {
   // minsgd-analyze: allow(hot-path-alloc): grow-only thread_local scratch
-  // shared by gemm_packed and conv2d_forward_direct; it reaches steady-state
+  // shared by gemm_packed and the conv kernels; it reaches steady-state
   // size on the first block and never reallocates on the planned hot path.
   static thread_local std::vector<float> buffers[kPackScratchSlots];
   std::vector<float>& buf = buffers[slot];

@@ -26,10 +26,17 @@ namespace minsgd::kernels {
 // Thread-local, grow-only scratch backing packed panels, so the blocked
 // drivers never allocate on the planned hot path (hot-path-alloc contract).
 // Distinct slots keep concurrent users on one thread from aliasing:
-//   kPackScratchA / kPackScratchB       gemm_packed, inside its region
-//   kPackScratchConvB                   conv2d_forward_direct, per chunk
-//   kPackScratchConvW                   conv2d_forward_direct, packed on the
-//                                       calling thread before its region and
+//   kPackScratchA / kPackScratchB       gemm_packed, inside its region; the
+//                                       fused conv backward, per chunk, for
+//                                       its dy panels (A) and dcol strip (B)
+//                                       -- it never reaches gemm_packed
+//                                       while holding them
+//   kPackScratchConvB                   gathered im2col panel, per chunk:
+//                                       conv2d_forward_direct and the fused
+//                                       backward's dW
+//   kPackScratchConvW                   packed W (forward) or W^T (fused
+//                                       backward), packed on the calling
+//                                       thread before the region and
 //                                       read-only inside it
 // Buffers reach steady-state size after the first block and are reused dirty;
 // that is bitwise-safe because every pack fully overwrites the region the

@@ -34,6 +34,10 @@ struct SharedProgress {
   std::int64_t global_iter = 0;
   std::int64_t checkpoints_written = 0;
   bool diverged = false;
+  // The run's first mean loss, the divergence baseline. Carried across
+  // attempts: a restart replays from a checkpoint, and the replay's first
+  // loss is a later (smaller) one.
+  double first_loss = -1.0;
 };
 
 }  // namespace
@@ -119,6 +123,10 @@ FaultTolerantResult train_sync_fault_tolerant(
     }
 
     double first_loss = -1.0;
+    {
+      std::lock_guard lk(progress.mu);
+      first_loss = progress.first_loss;
+    }
     bool stop = false;
     for (std::int64_t epoch = start_epoch; epoch < topt.epochs && !stop;
          ++epoch) {
@@ -188,7 +196,13 @@ FaultTolerantResult train_sync_fault_tolerant(
         epoch_correct += static_cast<std::int64_t>(stats[1]);
         ++epoch_iters;
 
-        if (first_loss < 0) first_loss = mean_loss;
+        if (first_loss < 0) {
+          first_loss = mean_loss;  // identical on every rank
+          if (rank == 0) {
+            std::lock_guard lk(progress.mu);
+            progress.first_loss = mean_loss;
+          }
+        }
         if (topt.detect_divergence &&
             (!std::isfinite(mean_loss) ||
              mean_loss > topt.divergence_factor * first_loss)) {

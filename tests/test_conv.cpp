@@ -6,6 +6,8 @@
 #include "grad_check.hpp"
 #include "nn/conv.hpp"
 #include "tensor/context.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/kernels/conv_backward.hpp"
 #include "tensor/kernels/conv_direct.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "tensor/rng.hpp"
@@ -298,6 +300,133 @@ TEST(ConvOracle, Direct1x1BitIdenticalToIm2colForwardBackward) {
   EXPECT_EQ(std::memcmp(g_ref.data(), g_dir.data(),
                         g_ref.size() * sizeof(float)),
             0);
+}
+
+// -- fused backward oracle --------------------------------------------------
+//
+// Every ungrouped conv's backward runs the fused kernels; dx, dW and db must
+// equal the im2col path's bytes on both sides of sgemm's small/packed
+// threshold.
+
+struct BackwardRun {
+  Tensor dx;
+  std::vector<float> grads;  // dW then db
+};
+
+/// One backward of `conv` on (x, dy) with the direct paths on or off.
+BackwardRun run_backward(Conv2d& conv, const Tensor& x, const Tensor& y,
+                         const Tensor& dy, bool direct) {
+  Conv2d::set_direct_enabled(direct);
+  BackwardRun out;
+  for (auto& p : conv.params()) p.grad->zero();
+  conv.backward(x, y, dy, out.dx);
+  for (auto& p : conv.params()) {
+    out.grads.insert(out.grads.end(), p.grad->span().begin(),
+                     p.grad->span().end());
+  }
+  return out;
+}
+
+/// Checks the fused backward against the im2col path bytewise and returns
+/// whether the fused kernels actually ran for this shape.
+bool expect_fused_backward_matches(std::int64_t in_c, std::int64_t out_c,
+                                   std::int64_t k, std::int64_t stride,
+                                   bool bias, std::int64_t batch,
+                                   std::int64_t hw, std::uint64_t seed) {
+  DirectPathGuard guard;
+  const std::int64_t pad = k / 2;
+  Conv2d conv(in_c, out_c, k, stride, pad, bias);
+  Rng rng(seed);
+  conv.init(rng);
+  if (bias) rng.fill_normal(conv.bias().span(), 0.0f, 0.5f);
+  Tensor x({batch, in_c, hw, hw});
+  rng.fill_normal(x.span(), 0.0f, 1.0f);
+  Tensor y;
+  conv.forward(x, y, true);
+  Tensor dy(y.shape());
+  rng.fill_normal(dy.span(), 0.0f, 1.0f);
+
+  const BackwardRun ref = run_backward(conv, x, y, dy, /*direct=*/false);
+  const BackwardRun fused = run_backward(conv, x, y, dy, /*direct=*/true);
+  const std::string where = std::to_string(in_c) + "->" +
+                            std::to_string(out_c) + " k" + std::to_string(k) +
+                            " s" + std::to_string(stride) + " " +
+                            std::to_string(hw) + "^2 batch " +
+                            std::to_string(batch) + (bias ? " bias" : "");
+  EXPECT_TRUE(same_bits(ref.dx, fused.dx)) << "dx differs: " << where;
+  EXPECT_EQ(ref.grads.size(), fused.grads.size());
+  EXPECT_EQ(std::memcmp(ref.grads.data(), fused.grads.data(),
+                        ref.grads.size() * sizeof(float)),
+            0)
+      << "dW/db differ: " << where;
+  const kernels::Conv2dGeom geom{in_c, hw, hw, out_c, y.shape()[2],
+                                 y.shape()[3], k, stride, pad};
+  return kernels::conv2d_backward_fused_eligible(geom);
+}
+
+bool small_gemm(std::int64_t in_c, std::int64_t out_c, std::int64_t k,
+                std::int64_t out_hw) {
+  return out_c * in_c * k * k * out_hw * out_hw <= kSmallGemmFlops;
+}
+
+TEST(ConvOracle, FusedBackwardBitIdenticalToIm2colGrid) {
+  // k {1,3} x stride {1,2} x bias x planes {4,8,16} x channels on both
+  // sides of the 2^18 small-path threshold.
+  struct Channels {
+    std::int64_t in_c, out_c;
+  };
+  const Channels channels[] = {{3, 8}, {16, 32}, {32, 48}};
+  std::uint64_t seed = 100;
+  int small_cases = 0, packed_cases = 0;
+  for (std::int64_t k : {1, 3}) {
+    for (std::int64_t stride : {1, 2}) {
+      for (bool bias : {false, true}) {
+        for (std::int64_t hw : {4, 8, 16}) {
+          for (const Channels& ch : channels) {
+            const bool eligible = expect_fused_backward_matches(
+                ch.in_c, ch.out_c, k, stride, bias, /*batch=*/3, hw, ++seed);
+            const std::int64_t out_hw = (hw + 2 * (k / 2) - k) / stride + 1;
+            if (small_gemm(ch.in_c, ch.out_c, k, out_hw)) {
+              ++small_cases;
+            } else {
+              ++packed_cases;
+              // The packed side never depends on the small-path probe.
+              EXPECT_TRUE(eligible) << ch.in_c << "->" << ch.out_c << " k" << k
+                                    << " s" << stride << " " << hw << "^2";
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(small_cases, 0);
+  EXPECT_GT(packed_cases, 0);
+}
+
+TEST(ConvOracle, FusedBackwardDeepSmallPathAndRaggedBatch) {
+  // spatial 1024 > kKC with a small out_c*kdim: sgemm's small path sums the
+  // whole depth in one chain, so the fused dW keeps it in one block.
+  expect_fused_backward_matches(1, 8, 3, 1, /*bias=*/true, /*batch=*/2, 32, 7);
+  // Batch 18 splits into 16 chunks of 1-2 images: the per-chunk dW partials
+  // and their fixed-order combine see uneven chunks.
+  expect_fused_backward_matches(8, 16, 3, 1, /*bias=*/true, /*batch=*/18, 8, 8);
+  expect_fused_backward_matches(16, 32, 3, 2, /*bias=*/false, /*batch=*/18, 16,
+                                9);
+}
+
+TEST(ConvOracle, FusedBackwardOddPlanesStayBitIdentical) {
+  // Depths (spatial) that are not multiples of 4: where the compiled small
+  // path contracts part of its dot product, the layer keeps the im2col
+  // path; either way the bytes match.
+  for (std::int64_t hw : {5, 7}) {
+    for (std::int64_t stride : {1, 2}) {
+      const auto seed = static_cast<std::uint64_t>(hw * 10 + stride);
+      expect_fused_backward_matches(4, 8, 3, stride, /*bias=*/true, 2, hw,
+                                    seed);
+      expect_fused_backward_matches(32, 64, 3, stride, /*bias=*/false, 2, hw,
+                                    seed + 1);
+    }
+  }
 }
 
 TEST(ConvOracle, DirectForwardBitIdenticalAcrossIsaPaths) {

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -180,6 +182,50 @@ TEST(LayerDeterminism, FusedConvThreadInvariantPerIsa) {
     expect_layer_thread_invariant(
         [] { return std::make_unique<nn::Linear>(256, 96); },
         Shape({32, 256}));
+  }
+  kernels::clear_force();
+}
+
+TEST(LayerDeterminism, FusedConvBackwardThreadInvariantPerIsa) {
+  // The fused (im2col-free) conv backward: stride-2 3x3 and 1x1 on the
+  // packed side, the stem and 1x1/s2 projection on sgemm's small side,
+  // batches that do not fill the chunks evenly. Thread counts {1,2,4,8} x
+  // every compiled-in ISA, and every ISA's single-thread bytes equal
+  // forced-portable's.
+  const auto conv_s2 = [] {
+    return std::make_unique<nn::Conv2d>(16, 32, 3, 2, 1);
+  };
+  const auto stem = [] { return std::make_unique<nn::Conv2d>(3, 16, 3, 1, 1); };
+  const auto proj = [] {
+    return std::make_unique<nn::Conv2d>(32, 64, 1, 2, 0, /*bias=*/false);
+  };
+  const auto pointwise = [] { return std::make_unique<nn::Conv2d>(64, 64, 1); };
+  struct Case {
+    std::function<std::unique_ptr<nn::Conv2d>()> factory;
+    Shape in;
+  };
+  const Case cases[] = {{conv_s2, Shape({5, 16, 16, 16})},
+                        {stem, Shape({5, 3, 16, 16})},
+                        {proj, Shape({5, 32, 8, 8})},
+                        {pointwise, Shape({3, 64, 16, 16})}};
+  std::vector<LayerRun> portable;
+  for (kernels::Isa isa :
+       {kernels::Isa::kPortable, kernels::Isa::kAvx2, kernels::Isa::kNeon}) {
+    if (!kernels::supported(isa)) continue;
+    kernels::force(isa);
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      expect_layer_thread_invariant(cases[i].factory, cases[i].in);
+      ComputeContext one(1);
+      LayerRun run = run_layer(cases[i].factory, cases[i].in, one);
+      if (isa == kernels::Isa::kPortable) {
+        portable.push_back(std::move(run));
+        continue;
+      }
+      EXPECT_TRUE(bits_equal(portable[i].dx, run.dx))
+          << kernels::to_string(isa) << " dx differs, case " << i;
+      EXPECT_TRUE(bits_equal(portable[i].grads, run.grads))
+          << kernels::to_string(isa) << " grads differ, case " << i;
+    }
   }
   kernels::clear_force();
 }

@@ -502,6 +502,44 @@ TEST(FaultTolerantTrain, CrashRecoveryIsExactWithDropout) {
   EXPECT_EQ(faulty.final_weights, clean.final_weights);
 }
 
+TEST(FaultTolerantTrain, LateCrashKeepsTheRunsDivergenceBaseline) {
+  // The divergence check compares each loss against the run's first one.
+  // A crash after the loss has fallen more than divergence_factor x replays
+  // from a checkpoint whose first loss is already small; measured against
+  // that, ordinary later losses would look like a blow-up and stop the run.
+  data::SynthConfig cfg = tiny_data_cfg();
+  cfg.noise = 0.05f;
+  cfg.distractor = 0.0f;
+  data::SyntheticImageNet ds(cfg);
+  optim::ConstantLr lr(0.1);
+  auto opts = [](const std::string& tag) {
+    auto o = ft_options(tag);
+    o.train.epochs = 8;
+    return o;
+  };
+  const int world = 2;
+  const auto clean = train::train_sync_fault_tolerant(
+      det_model, sgd_factory(), lr, ds, opts("late_clean"), world);
+  ASSERT_FALSE(clean.result.diverged);
+  ASSERT_EQ(clean.result.epochs.size(), 8u);
+  // By epoch 4 the loss has fallen far more than 10x ...
+  const double factor = opts("late_clean").train.divergence_factor;
+  ASSERT_LT(clean.result.epochs[4].train_loss * factor,
+            clean.result.epochs[0].train_loss);
+
+  // ... and rank 1's 200th send falls in epoch 5, after several checkpoints.
+  FaultPlan plan;
+  plan.crash_rank = 1;
+  plan.crash_at_send = 200;
+  auto injector = std::make_shared<FaultInjector>(plan, world);
+  const auto faulty = train::train_sync_fault_tolerant(
+      det_model, sgd_factory(), lr, ds, opts("late_crash"), world, injector);
+  EXPECT_EQ(faulty.restarts, 1);
+  EXPECT_FALSE(faulty.result.diverged);
+  EXPECT_EQ(faulty.iterations, clean.iterations);
+  EXPECT_EQ(faulty.final_weights, clean.final_weights);
+}
+
 TEST(FaultTolerantTrain, StragglersSlowButDoNotChangeResults) {
   data::SyntheticImageNet ds(tiny_data_cfg());
   optim::ConstantLr lr(0.02);
