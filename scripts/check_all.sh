@@ -27,7 +27,9 @@
 #                MINSGD_SANITIZE=thread (ctest -L tier2-tsan); test_elastic
 #                runs here too — the coordinator's rendezvous/watchdog and
 #                the overlap comm worker across generation changes must be
-#                TSan-clean
+#                TSan-clean — and so do test_fault, test_easgd,
+#                test_param_server and test_model_parallel, the other
+#                trainers' rank and worker threads
 #
 # Every stage runs even if an earlier one fails (so one invocation reports
 # the whole matrix); the exit code is non-zero if any stage failed.

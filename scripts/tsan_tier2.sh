@@ -13,6 +13,10 @@
 # test_gemm/test_conv cover the packed-panel kernels' per-chunk scratch;
 # test_plan covers planned forward/backward, where many layers share one
 # arena block and any cross-chunk overlap would be a real race.
+# test_fault, test_easgd, test_param_server and test_model_parallel cover
+# the remaining trainers' threads: fault-tolerant restarts over fresh
+# clusters, the EASGD center and parameter-server locks, and sharded layers
+# computing on their rank's budgeted context.
 #
 # Usage: scripts/tsan_tier2.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -26,7 +30,8 @@ cmake -B "$BUILD_DIR" -S . \
 
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_comm test_train test_overlap test_context test_determinism \
-           test_elastic test_obs test_gemm test_conv test_plan
+           test_elastic test_obs test_gemm test_conv test_plan \
+           test_fault test_easgd test_param_server test_model_parallel
 
 # TSan findings must fail the gate, not just print.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 exitcode=66}"

@@ -1,17 +1,13 @@
 #include "train/async_trainer.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "comm/param_server.hpp"
-#include "data/loader.hpp"
-#include "nn/loss.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
+#include "train/replica_step.hpp"
 
 namespace minsgd::train {
 
@@ -19,13 +15,7 @@ AsyncResult train_async_param_server(
     const std::function<std::unique_ptr<nn::Network>()>& model_factory,
     const optim::LrSchedule& schedule, const data::SyntheticImageNet& dataset,
     const TrainOptions& options, int workers) {
-  if (workers <= 0) {
-    throw std::invalid_argument("train_async_param_server: workers <= 0");
-  }
-  if (options.global_batch % workers != 0) {
-    throw std::invalid_argument(
-        "train_async_param_server: global_batch % workers != 0");
-  }
+  check_world(options, "train_async_param_server", workers);
 
   // Server starts from the same deterministic initialization the sync
   // trainers use.
@@ -39,22 +29,14 @@ AsyncResult train_async_param_server(
   std::atomic<double> last_loss{0.0};
   // minsgd-lint: allow(thread-spawn): async parameter-server workers are
   // rank threads, not intra-op compute — each owns a budgeted ComputeContext
-  // so the process-wide thread total stays <= the global budget.
+  // (a thread_budget() share) so the process-wide thread total stays <= the
+  // global budget.
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers));
-
-  // Worker threads split one global intra-op budget, mirroring SimCluster's
-  // per-rank arithmetic: total pool workers stay <= budget.
-  const std::size_t budget = options.compute_threads != 0
-                                 ? options.compute_threads
-                                 : ComputeContext::default_threads();
-  const std::size_t per_worker =
-      std::max<std::size_t>(1, budget / static_cast<std::size_t>(workers));
-
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
       obs::set_thread_rank(w);  // trace lane per worker
-      const ComputeContext ctx(per_worker);
+      const ComputeContext ctx(thread_budget(options, workers));
       auto net = model_factory();
       Rng worker_init(options.init_seed);
       net->init(worker_init);  // allocate param storage; overwritten by pull
@@ -65,32 +47,14 @@ AsyncResult train_async_param_server(
 
       data::ShardedLoader loader(dataset, options.global_batch, w, workers,
                                  options.augment);
-      nn::SoftmaxCrossEntropy loss;
-      Tensor logits, dlogits, dx;
-      nn::ExecutionPlan plan;  // per-worker, lives across iterations
+      ReplicaStep replica(*net, options);
+      DivergenceTest diverging{options};
       const std::int64_t iters = loader.iterations_per_epoch();
-      double first_loss = -1.0;
 
       for (std::int64_t epoch = 0; epoch < options.epochs; ++epoch) {
         for (std::int64_t it = 0; it < iters; ++it) {
           if (abort.load(std::memory_order_relaxed)) return;
-          data::Batch batch;
-          {
-            obs::ScopedSpan sp("phase.data", obs::cat::kPhase);
-            batch = loader.load_train(epoch, it, ctx);
-          }
-          net->zero_grad();
-          nn::LossResult lres;
-          auto pc = plan.context(*net, batch.x.shape());
-          {
-            obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-            net->forward(batch.x, logits, /*training=*/true, ctx, &pc);
-            lres = loss.forward_backward(logits, batch.labels, &dlogits, ctx);
-          }
-          {
-            obs::ScopedSpan sp("phase.backward", obs::cat::kPhase);
-            net->backward(batch.x, logits, dlogits, dx, ctx, &pc);
-          }
+          const auto lres = replica.compute(loader, epoch, it, ctx);
           const double lr = schedule.lr(server.updates_applied());
           auto grad = net->flatten_grads();
           {
@@ -102,10 +66,7 @@ AsyncResult train_async_param_server(
           MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0,
                         0, 0, it);
           last_loss.store(lres.loss, std::memory_order_relaxed);
-          if (first_loss < 0) first_loss = lres.loss;
-          if (options.detect_divergence &&
-              (!std::isfinite(lres.loss) ||
-               lres.loss > options.divergence_factor * first_loss)) {
+          if (diverging(lres.loss)) {
             abort.store(true, std::memory_order_relaxed);
             return;
           }
@@ -124,7 +85,8 @@ AsyncResult train_async_param_server(
   std::vector<float> weights(static_cast<std::size_t>(init_net->num_params()));
   server.pull(0, weights);
   init_net->unflatten_params(weights);
-  res.final_test_acc = evaluate(*init_net, dataset);
+  res.final_test_acc = evaluate(*init_net, dataset, 256,
+                                ComputeContext(thread_budget(options)));
   return res;
 }
 

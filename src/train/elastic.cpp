@@ -1,8 +1,5 @@
 #include "train/elastic.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -10,13 +7,8 @@
 #include <stdexcept>
 
 #include "core/check.hpp"
-#include "nn/loss.hpp"
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "tensor/ops.hpp"
 #include "train/checkpoint.hpp"
-#include "train/overlap.hpp"
+#include "train/replica_step.hpp"
 
 namespace minsgd::train {
 namespace {
@@ -25,11 +17,8 @@ namespace {
 /// train_size / base_global_batch iterations, fixed across resizes so the
 /// records of runs with different membership histories line up).
 struct WindowAgg {
+  EpochTally tally;  // iterations actually booked (faults may skip some)
   double lr = 0.0;
-  double loss_sum = 0.0;
-  std::int64_t correct = 0;
-  std::int64_t iters = 0;     // iterations actually booked (faults may skip)
-  std::int64_t examples = 0;  // global-batch sizes summed over booked iters
   double test_acc = 0.0;
 };
 
@@ -40,6 +29,8 @@ struct SharedState {
   std::vector<float> final_weights;
   std::string final_state;
   std::int64_t iterations = 0;
+  std::int64_t exposed_comm_ns = 0;  // the finishing rank 0's step
+  std::int64_t total_comm_ns = 0;
 };
 
 /// Broadcasts the root's serialized v2 checkpoint (plus the divergence
@@ -50,7 +41,7 @@ struct SharedState {
 /// so skipping the reload preserves bit-identity trivially.
 void broadcast_state(comm::Communicator& gc, int root, nn::Network& net,
                      optim::Optimizer& opt, TrainCheckpoint& meta,
-                     bool& has_first, double& first_loss) {
+                     double& first_loss) {
   std::string bytes;
   if (gc.rank() == root) {
     std::ostringstream os;
@@ -59,7 +50,8 @@ void broadcast_state(comm::Communicator& gc, int root, nn::Network& net,
   }
   float hdr[4] = {static_cast<float>(bytes.size() / 65536),
                   static_cast<float>(bytes.size() % 65536),
-                  has_first ? 1.0f : 0.0f, static_cast<float>(first_loss)};
+                  first_loss < 0 ? 0.0f : 1.0f,
+                  static_cast<float>(first_loss)};
   gc.broadcast(std::span<float>(hdr, 4), root);
   const std::size_t len = static_cast<std::size_t>(hdr[0]) * 65536 +
                           static_cast<std::size_t>(hdr[1]);
@@ -75,10 +67,9 @@ void broadcast_state(comm::Communicator& gc, int root, nn::Network& net,
     std::memcpy(raw.data(), payload.data(), len);
     std::istringstream is(raw);
     load_train_checkpoint(is, net, opt, meta, /*expect_world=*/0);
-    has_first = hdr[2] != 0.0f;
     // The baseline crossed the wire as a float; every member (including
     // the root, which rounded at capture) now holds the identical double.
-    first_loss = static_cast<double>(hdr[3]);
+    first_loss = hdr[2] != 0.0f ? static_cast<double>(hdr[3]) : -1.0;
   }
 }
 
@@ -125,18 +116,9 @@ ElasticResult train_sync_elastic(
     std::shared_ptr<comm::FaultInjector> injector) {
   options.validate();
   const TrainOptions& t = options.train;
-  if (t.compress_one_bit) {
-    throw std::invalid_argument(
-        "train_sync_elastic: compress_one_bit is unsupported");
-  }
-  if (t.accumulation_steps != 1) {
-    throw std::invalid_argument(
-        "train_sync_elastic: accumulation_steps is unsupported");
-  }
-  if (t.bucket_bytes < 0 || (t.bucket_bytes > 0 && t.bucket_bytes < 4)) {
-    throw std::invalid_argument(
-        "train_sync_elastic: bucket_bytes must be 0 (single bucket) or >= 4");
-  }
+  // The global batch is local_batch x live world, never split from
+  // t.global_batch, so the batch check runs against a world of 1.
+  validate_sync_options(t, "train_sync_elastic", 1, /*one_bit=*/false);
   const std::int64_t base_gb =
       options.base_global_batch != 0
           ? options.base_global_batch
@@ -182,39 +164,34 @@ ElasticResult train_sync_elastic(
     Rng init_rng(t.init_seed);
     net->init(init_rng);
     auto opt = opt_factory();
-    auto params = net->params();
-    nn::SoftmaxCrossEntropy loss;
     optim::ElasticLrScale lrs(schedule, base_gb);
-    Tensor logits, dlogits, dx;
-    nn::ExecutionPlan plan;       // survives generation changes; rebuilds on
-                                  // batch-geometry change after a resize
-    std::vector<float> flat_own;  // hoisted serial-path allreduce buffer
 
     // Per-generation state, rebuilt by adopt() after every commit.
     std::unique_ptr<comm::Communicator> gc;
     std::unique_ptr<data::ShardedLoader> loader;
-    std::unique_ptr<OverlapAllreducer> overlap;
     const ComputeContext* ctx = nullptr;
     std::int64_t ipe = 1, gb = 0;
-    float inv_world = 1.0f;
+    // Declared after gc so its comm-bound part goes first. Its plan
+    // survives generation changes and rebuilds when a resize changes the
+    // batch geometry.
+    ReplicaStep replica(*net, t, options.algo);
 
     std::int64_t global_iter = 0;  // next iteration to execute
     std::int64_t steps_done = 0;   // optimizer steps applied to the replica
     bool has_state = false;        // replica holds real training state
-    double first_loss = 0.0;       // divergence baseline (float-rounded)
-    bool has_first = false;
+    DivergenceTest diverging{t};   // baseline float-rounded, see below
     bool diverged = false;
     bool active = phys < options.initial_world;
 
     auto teardown = [&] {
-      overlap.reset();  // joins the comm worker before transport changes
+      replica.unbind();  // joins the comm worker before transport changes
       loader.reset();
       gc.reset();
       ctx = nullptr;
     };
 
     auto adopt = [&](const comm::MembershipView& view) {
-      overlap.reset();
+      replica.unbind();
       gc = std::make_unique<comm::Communicator>(cluster, phys, view, 0);
       ctx = &gc->ctx();
       gb = options.local_batch * view.world();
@@ -222,26 +199,24 @@ ElasticResult train_sync_elastic(
                                                      view.world(), t.augment);
       ipe = loader->iterations_per_epoch();
       lrs.set_batch(gb);
-      inv_world = 1.0f / static_cast<float>(view.world());
-      if (t.overlap_comm) {
-        overlap = std::make_unique<OverlapAllreducer>(*net, *gc,
-                                                      t.bucket_bytes,
-                                                      options.algo);
-      }
+      replica.bind(*gc);
+    };
+
+    // This replica's checkpoint header once `done` iterations are applied.
+    auto position = [&](std::int64_t done) {
+      return TrainCheckpoint{.epoch = done / ipe,
+                             .iter = done % ipe,
+                             .global_iter = done,
+                             .world = gc->world(),
+                             .global_batch = gb,
+                             .rng = Rng(t.init_seed).state()};
     };
 
     auto state_sync = [&](const comm::ReconfigOutcome& oc) {
-      TrainCheckpoint meta;
-      if (oc.is_root) {
-        meta.global_iter = oc.resume_iter;
-        meta.epoch = oc.resume_iter / ipe;
-        meta.iter = oc.resume_iter % ipe;
-        meta.world = gc->world();
-        meta.global_batch = gb;
-        meta.rng = Rng(t.init_seed).state();
-      }
-      broadcast_state(*gc, oc.state_root, *net, *opt, meta, has_first,
-                      first_loss);
+      TrainCheckpoint meta =
+          oc.is_root ? position(oc.resume_iter) : TrainCheckpoint{};
+      broadcast_state(*gc, oc.state_root, *net, *opt, meta,
+                      diverging.first_loss);
       global_iter = oc.resume_iter;
       steps_done = oc.resume_iter;
       has_state = true;
@@ -254,7 +229,7 @@ ElasticResult train_sync_elastic(
     auto do_reconfig = [&]() -> bool {
       int sync_failures = 0;
       for (;;) {
-        overlap.reset();
+        replica.unbind();
         try {
           const auto oc =
               coordinator.reconfigure(phys, has_state ? steps_done : -1);
@@ -299,112 +274,44 @@ ElasticResult train_sync_elastic(
     }
 
     auto one_iteration = [&] {
-      const std::int64_t epoch = global_iter / ipe;
-      const std::int64_t it = global_iter % ipe;
-      data::Batch batch;
-      {
-        obs::ScopedSpan sp("phase.data", obs::cat::kPhase);
-        batch = loader->load_train(epoch, it, *ctx);
-      }
-      net->zero_grad();
-      nn::LossResult lres;
-      auto pc = plan.context(*net, batch.x.shape());
-      {
-        obs::ScopedSpan sp("phase.forward", obs::cat::kPhase);
-        net->forward(batch.x, logits, /*training=*/true, *ctx, &pc);
-        lres = loss.forward_backward(logits, batch.labels, &dlogits, *ctx);
-      }
-      if (overlap) overlap->begin_iteration();
-      {
-        obs::ScopedSpan sp("phase.backward", obs::cat::kPhase);
-        net->backward(batch.x, logits, dlogits, dx, *ctx, &pc);
-      }
-      // Sum gradients across the members, then average by the live world.
+      const nn::LossResult local =
+          replica.compute(*loader, global_iter / ipe, global_iter % ipe, *ctx);
       // Bucket boundaries match the fixed trainer's, so a run that never
       // resizes is bit-identical to train_sync_data_parallel.
-      std::span<float> flat;
-      if (overlap) {
-        flat = overlap->finish();
-      } else {
-        net->flatten_grads_into(flat_own);
-        flat = flat_own;
-        if (t.bucket_bytes > 0) {
-          const auto bucket = static_cast<std::size_t>(t.bucket_bytes / 4);
-          std::span<float> rest(flat);
-          while (!rest.empty()) {
-            const auto n = std::min(bucket, rest.size());
-            gc->allreduce_sum(rest.subspan(0, n), options.algo);
-            rest = rest.subspan(n);
-          }
-        } else {
-          gc->allreduce_sum(flat, options.algo);
-        }
-      }
-      {
-        obs::ScopedSpan sp("phase.step", obs::cat::kPhase);
-        scale(*ctx, inv_world, flat);
-        net->unflatten_grads(flat);
-        opt->step(params, lrs.lr(global_iter), *ctx);
-      }
-      MINSGD_FLIGHT(obs::FlightKind::kStep, obs::FlightOp::kNone, 0, 0,
-                    gc->generation(), 0, global_iter);
+      replica.reduce_and_step(*opt, lrs.lr(global_iter), *ctx, global_iter);
       // The step is applied: the replica's state is now "global_iter done".
       // Tracked separately from global_iter so a fault later in the
       // iteration still reports a state-consistent position.
       ++steps_done;
 
-      float stats[2] = {static_cast<float>(lres.loss),
-                        static_cast<float>(lres.correct)};
-      gc->allreduce_sum(std::span<float>(stats, 2), options.algo);
-      const double mean_loss =
-          stats[0] / static_cast<double>(gc->world());
-      if (!has_first) {
+      const StepStats stats = replica.reduce_stats(local);
+      if (diverging.first_loss < 0) {
         // Round through float so members that later receive the baseline
         // over the wire (joiners) hold the identical double.
-        first_loss = static_cast<double>(static_cast<float>(mean_loss));
-        has_first = true;
+        diverging.first_loss =
+            static_cast<double>(static_cast<float>(stats.mean_loss));
       }
-      if (t.detect_divergence &&
-          (!std::isfinite(mean_loss) ||
-           mean_loss > t.divergence_factor * first_loss)) {
-        diverged = true;  // same scalars everywhere: every member agrees
-      }
+      // Same scalars everywhere: every member agrees.
+      diverged = diverging(stats.mean_loss);
 
       const std::int64_t window = global_iter / ipw;
+      ++global_iter;
+      const bool last = global_iter >= total_iters || diverged;
+      const bool boundary = global_iter % ipw == 0 || last;
       if (gc->rank() == 0) {
+        // Only the current rank 0 writes the windows.
         std::lock_guard lk(shared.mu);
         WindowAgg& w = shared.windows[window];
-        if (w.iters == 0) w.lr = lrs.lr(window * ipw);
-        w.loss_sum += mean_loss;
-        w.correct += static_cast<std::int64_t>(stats[1]);
-        w.examples += gb;
-        ++w.iters;
-      }
-      ++global_iter;
-
-      const bool boundary = (global_iter % ipw == 0) ||
-                            global_iter >= total_iters || diverged;
-      if (boundary) {
-        if (gc->rank() == 0) {
-          const bool eval_now = (window % t.eval_every == 0) ||
-                                global_iter >= total_iters || diverged;
-          const double acc =
-              eval_now ? evaluate(*net, dataset, 256, *ctx) : 0.0;
-          std::lock_guard lk(shared.mu);
-          shared.windows[window].test_acc = acc;
-          if (t.verbose) {
-            const WindowAgg& w = shared.windows[window];
-            std::printf(
-                "window %3lld  world %d  lr %.5f  loss %.4f  test_acc "
-                "%.4f\n",
-                static_cast<long long>(window), gc->world(), w.lr,
-                w.iters ? w.loss_sum / static_cast<double>(w.iters) : 0.0,
-                acc);
-            std::fflush(stdout);
-          }
+        if (w.tally.iters == 0) w.lr = lrs.lr(window * ipw);
+        w.tally.add(stats.mean_loss, stats.correct, gb);
+        if (boundary) {
+          EpochRecord rec = w.tally.record(window, w.lr);
+          close_epoch(rec, last, t, *net, dataset, *ctx);
+          w.test_acc = rec.test_acc;
         }
-        gc->barrier();  // keep members aligned across rank 0's evaluation
       }
+      // Keep members aligned across rank 0's evaluation.
+      if (boundary) gc->barrier();
     };
 
     for (;;) {
@@ -432,20 +339,15 @@ ElasticResult train_sync_elastic(
 
       if (diverged || global_iter >= total_iters) {
         if (gc->rank() == 0) {
-          TrainCheckpoint meta;
-          meta.global_iter = global_iter;
-          meta.epoch = global_iter / ipe;
-          meta.iter = global_iter % ipe;
-          meta.world = gc->world();
-          meta.global_batch = gb;
-          meta.rng = Rng(t.init_seed).state();
           std::ostringstream os;
-          save_train_checkpoint(os, *net, *opt, meta);
+          save_train_checkpoint(os, *net, *opt, position(global_iter));
           std::lock_guard lk(shared.mu);
           shared.final_state = os.str();
           shared.final_weights = net->flatten_params();
           shared.iterations = global_iter;
           shared.diverged = diverged;
+          shared.exposed_comm_ns = replica.exposed_comm_ns();
+          shared.total_comm_ns = replica.total_comm_ns();
         }
         coordinator.finish(phys);
         break;
@@ -494,34 +396,16 @@ ElasticResult train_sync_elastic(
     out.iterations = shared.iterations;
     out.result.diverged = shared.diverged;
     for (const auto& [window, w] : shared.windows) {
-      EpochRecord rec;
-      rec.epoch = window;
-      rec.lr = w.lr;
-      rec.train_loss =
-          w.iters ? w.loss_sum / static_cast<double>(w.iters) : 0.0;
-      rec.train_acc = w.examples ? static_cast<double>(w.correct) /
-                                       static_cast<double>(w.examples)
-                                 : 0.0;
-      rec.test_acc = w.test_acc;
-      out.result.epochs.push_back(rec);
-      out.result.iterations_run += w.iters;
-      if (rec.test_acc > out.result.best_test_acc) {
-        out.result.best_test_acc = rec.test_acc;
-      }
+      out.result.epochs.push_back(w.tally.record(window, w.lr, w.test_acc));
+      out.result.iterations_run += w.tally.iters;
     }
-    if (!out.result.epochs.empty()) {
-      out.result.final_test_acc = out.result.epochs.back().test_acc;
-    }
+    finalize(out.result);
   }
   out.reconfigs = coordinator.records();
   out.reconfigurations = static_cast<int>(out.reconfigs.size());
   out.traffic = cluster.total_traffic();
   out.faults = cluster.total_faults();
-  // Persist wire traffic past the cluster's lifetime, like the fixed
-  // trainer does, so post-run metric snapshots still see it.
-  auto& reg = obs::metrics();
-  reg.counter("train.traffic.messages").add(out.traffic.messages);
-  reg.counter("train.traffic.bytes").add(out.traffic.bytes);
+  persist_comm_metrics(cluster, shared.exposed_comm_ns, shared.total_comm_ns);
   return out;
 }
 

@@ -2,9 +2,9 @@
 //
 // train_sync_data_parallel assumes a perfect cluster: one crashed rank used
 // to deadlock every peer inside the allreduce, and a restart had to begin
-// from scratch. This driver wraps the same per-iteration math (identical
-// update sequence, so the no-fault run is bit-equal to the plain sync
-// trainer) in a checkpoint/restart loop:
+// from scratch. This driver runs the same rank loop (run_fixed_world_rank
+// in train/replica_step.hpp, so the no-fault run is bit-equal to the plain
+// sync trainer) with checkpointing on, inside a restart loop:
 //
 //   * every `checkpoint_every` global iterations, rank 0 atomically writes
 //     a v2 train checkpoint (weights + optimizer + schedule position + RNG;

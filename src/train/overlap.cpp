@@ -1,7 +1,6 @@
 #include "train/overlap.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "comm/cluster.hpp"
@@ -10,15 +9,19 @@
 
 namespace minsgd::train {
 
+void check_bucket_bytes(std::int64_t bucket_bytes, const std::string& who) {
+  if (bucket_bytes < 0 || (bucket_bytes > 0 && bucket_bytes < 4)) {
+    throw std::invalid_argument(
+        who + ": bucket_bytes must be 0 (single bucket) or >= 4");
+  }
+}
+
 OverlapAllreducer::OverlapAllreducer(nn::Network& net,
                                      comm::Communicator& comm,
                                      std::int64_t bucket_bytes,
                                      comm::AllreduceAlgo algo)
     : net_(net), engine_(comm), algo_(algo) {
-  if (bucket_bytes < 0 || (bucket_bytes > 0 && bucket_bytes < 4)) {
-    throw std::invalid_argument(
-        "OverlapAllreducer: bucket_bytes must be 0 (single bucket) or >= 4");
-  }
+  check_bucket_bytes(bucket_bytes, "OverlapAllreducer");
   // Map every top-level layer to its contiguous range of the flat gradient
   // (params() walks layers in order, so flatten offsets accumulate).
   std::size_t off = 0;
@@ -97,16 +100,9 @@ std::span<float> OverlapAllreducer::finish() {
   for (std::size_t k = 0; k < launched_.size(); ++k) {
     if (!launched_[k]) launch(k);
   }
-  obs::ScopedSpan sp;
-  if (obs::tracer().enabled()) {
-    sp.start("phase.allreduce.async", obs::cat::kPhase);
-    sp.set_bytes(static_cast<std::int64_t>(flat_.size()) * 4);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
+  obs::ScopedSpan sp("phase.allreduce.async", obs::cat::kPhase);
+  sp.set_bytes(static_cast<std::int64_t>(flat_.size()) * 4);
   for (auto& h : handles_) h.wait();  // rethrows the first failure
-  exposed_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
   return flat_;
 }
 

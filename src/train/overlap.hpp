@@ -5,9 +5,9 @@
 // walks output→input) and the async collective engine (a per-rank FIFO comm
 // worker). Gradients are copied into a persistent flat buffer at their
 // flatten_grads() offsets; the buffer is divided into fixed `bucket_bytes`
-// buckets *by flat offset* — exactly the boundaries the serial bucketed
-// loop in train_sync_data_parallel uses — and each bucket's allreduce
-// launches the moment every parameter overlapping it has reported.
+// buckets *by flat offset* — exactly the boundaries ReplicaStep's serial
+// bucketed loop uses — and each bucket's allreduce launches the moment every
+// parameter overlapping it has reported.
 //
 // Why this is bit-exact against overlap off: a bucket's allreduce result
 // depends only on (bucket contents, algorithm, world), not on when or in
@@ -23,12 +23,17 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "comm/async.hpp"
 #include "nn/network.hpp"
 
 namespace minsgd::train {
+
+/// Throws std::invalid_argument, prefixed by `who`, unless `bucket_bytes`
+/// follows the TrainOptions convention: 0 (one bucket) or >= 4.
+void check_bucket_bytes(std::int64_t bucket_bytes, const std::string& who);
 
 class OverlapAllreducer {
  public:
@@ -50,10 +55,6 @@ class OverlapAllreducer {
   /// complete, rethrowing the first failure. Returns the flat rank-summed
   /// gradient, laid out exactly like Network::flatten_grads().
   std::span<float> finish();
-
-  /// Wall-clock time finish() spent blocked — the *exposed* communication
-  /// the backward pass failed to hide. Accumulated across iterations.
-  std::int64_t exposed_ns() const { return exposed_ns_; }
 
   /// Total collective execution time on the comm worker (hidden+exposed).
   std::int64_t comm_ns() const { return engine_.busy_ns(); }
@@ -84,7 +85,6 @@ class OverlapAllreducer {
   std::vector<std::size_t> bucket_fill_;         // floats reported per bucket
   std::vector<char> launched_;
   std::vector<comm::AllreduceHandle> handles_;   // in launch order
-  std::int64_t exposed_ns_ = 0;
 };
 
 }  // namespace minsgd::train

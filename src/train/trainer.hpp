@@ -60,7 +60,10 @@ struct TrainOptions {
   /// latency-side approach. Each rank quantizes its local gradient to sign
   /// bits + two scales, payloads are exchanged with an allgather, and every
   /// rank reconstructs and averages — ~32x less gradient traffic, at the
-  /// cost of quantization noise (and no sequential consistency).
+  /// cost of quantization noise (and no sequential consistency). Only
+  /// train_sync_data_parallel applies it; the fault-tolerant and elastic
+  /// trainers reject it, since the error-feedback residual is in no
+  /// checkpoint.
   bool compress_one_bit = false;
   /// Gradient accumulation for the single-process trainer: each optimizer
   /// step averages the gradients of this many consecutive `global_batch`
@@ -68,7 +71,7 @@ struct TrainOptions {
   /// global_batch * accumulation_steps without the memory. Equivalent to
   /// training at the large batch directly for deterministic models (the
   /// epoch permutation makes consecutive micro-batches exactly the large
-  /// batch's shards).
+  /// batch's shards). The synchronous trainers reject any value but 1.
   std::int64_t accumulation_steps = 1;
   /// Intra-op compute thread budget. train_single gives the whole budget to
   /// its one replica; train_sync_data_parallel (and the other multi-replica

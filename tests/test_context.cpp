@@ -1,14 +1,25 @@
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/cluster.hpp"
+#include "comm/model_parallel.hpp"
+#include "data/synthetic.hpp"
+#include "nn/activation.hpp"
+#include "nn/linear.hpp"
+#include "optim/schedule.hpp"
 #include "tensor/context.hpp"
+#include "train/easgd.hpp"
 
 namespace minsgd {
 namespace {
@@ -207,6 +218,100 @@ TEST(ClusterBudget, CommunicatorCtxIsTheRankContext) {
         /*grain=*/1);
     EXPECT_EQ(n.load(), 100);
   });
+}
+
+// -- rank threads never build the process-wide pool ---------------------------
+//
+// ComputeContext::default_ctx() owns a pool of default_threads() - 1 workers
+// that lives until exit. Code on a rank or worker thread must use its
+// budgeted context instead, or the process holds those workers on top of
+// the budget. Each check runs in a fresh process (a threadsafe death test),
+// where nothing has built default_ctx() yet, and counts the process's
+// threads.
+
+int live_threads() {
+  int n = 0;
+  if (DIR* d = opendir("/proc/self/task")) {
+    while (const dirent* e = readdir(d)) n += e->d_name[0] != '.';
+    closedir(d);
+  }
+  return n;
+}
+
+/// live_threads() once a thread was started and joined: a sanitizer
+/// runtime starts its helper threads with the first one, and they belong
+/// in the baseline.
+int baseline_threads() {
+  std::thread([] {}).join();
+  return live_threads();
+}
+
+/// Exits 0 iff every {got, want} thread count matches; prints them all.
+[[noreturn]] void exit_on_counts(
+    std::initializer_list<std::pair<int, int>> counts) {
+  bool ok = true;
+  for (const auto& [got, want] : counts) {
+    std::fprintf(stderr, "threads %d (want %d)\n", got, want);
+    ok = ok && got == want;
+  }
+  std::exit(ok ? 0 : 1);
+}
+
+TEST(RankThreadBudgetDeath, ShardedLinearUsesTheRankContext) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const int base = baseline_threads();
+        // Budget 2 over 2 ranks: one inline thread each, no pool at all.
+        comm::SimCluster cluster(comm::ClusterOptions{2, 2});
+        std::atomic<int> inside{0};
+        cluster.run([&](comm::Communicator& comm) {
+          comm::ShardedLinear layer(comm, 16, 10);
+          layer.init(3);
+          Tensor x({4, 16}), y, dx;
+          for (std::int64_t i = 0; i < x.numel(); ++i) {
+            x.data()[i] = 0.01f * static_cast<float>(i);
+          }
+          layer.forward(x, y);
+          layer.backward(x, y, dx);
+          comm.barrier();
+          if (comm.rank() == 0) inside = live_threads();
+          comm.barrier();
+        });
+        // Inside the run: the caller and two rank threads. After: the
+        // caller alone.
+        exit_on_counts({{inside.load(), base + 2}, {live_threads(), base}});
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(RankThreadBudgetDeath, EasgdLeavesNoPoolBehind) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        data::SynthConfig cfg;
+        cfg.classes = 4;
+        cfg.resolution = 8;
+        cfg.train_size = 64;
+        cfg.test_size = 32;
+        data::SyntheticImageNet ds(cfg);
+        train::TrainOptions options;
+        options.global_batch = 16;
+        options.epochs = 1;
+        options.compute_threads = 2;
+        const optim::ConstantLr lr(0.01);
+        const int base = baseline_threads();
+        train::train_easgd(
+            [] {
+              auto net = std::make_unique<nn::Network>("lin");
+              net->emplace<nn::Flatten>();
+              net->emplace<nn::Linear>(3 * 8 * 8, 4);
+              return net;
+            },
+            lr, ds, options, 2);
+        exit_on_counts({{live_threads(), base}});
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

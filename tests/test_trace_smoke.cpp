@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -14,6 +15,8 @@
 #include "obs/trace.hpp"
 #include "optim/lars.hpp"
 #include "optim/schedule.hpp"
+#include "train/elastic.hpp"
+#include "train/fault_tolerant.hpp"
 #include "train/trainer.hpp"
 
 namespace minsgd {
@@ -27,7 +30,11 @@ std::string read_all(const std::string& path) {
 }
 
 #ifndef MINSGD_TRACE_OFF
-TEST(TraceSmoke, InstrumentedTrainingProducesLoadableTrace) {
+// Every synchronous driver runs the same replica step, so each must leave
+// the same trace.
+class TraceSmokeDriver : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TraceSmokeDriver, InstrumentedTrainingProducesLoadableTrace) {
   const auto proxy = core::micro_proxy();
   data::SyntheticImageNet dataset(proxy.dataset);
   constexpr int kWorld = 2;
@@ -42,15 +49,40 @@ TEST(TraceSmoke, InstrumentedTrainingProducesLoadableTrace) {
     return std::unique_ptr<optim::Optimizer>(
         new optim::Lars({.trust_coeff = proxy.lars_trust}));
   };
+  const auto model = proxy.alexnet_factory();
 
   obs::tracer().clear();
   obs::tracer().set_enabled(true);
-  const auto res = train::train_sync_data_parallel(
-      proxy.alexnet_factory(), opt_factory, schedule, dataset, topt, kWorld,
-      comm::AllreduceAlgo::kRing);
+  bool diverged = true;
+  std::int64_t iterations = 0;
+  if (GetParam() == "sync") {
+    const auto r = train::train_sync_data_parallel(
+        model, opt_factory, schedule, dataset, topt, kWorld,
+        comm::AllreduceAlgo::kRing);
+    diverged = r.result.diverged;
+    iterations = r.iterations;
+  } else if (GetParam() == "fault_tolerant") {
+    train::FaultTolerantOptions fo;
+    fo.train = topt;
+    fo.checkpoint_path = ::testing::TempDir() + "/smoke_trace.ckpt";
+    const auto r = train::train_sync_fault_tolerant(
+        model, opt_factory, schedule, dataset, fo, kWorld);
+    diverged = r.result.diverged;
+    iterations = r.iterations;
+  } else {
+    train::ElasticOptions eo;
+    eo.train = topt;
+    eo.local_batch = proxy.base_batch;
+    eo.initial_world = kWorld;
+    eo.max_world = kWorld;
+    const auto r = train::train_sync_elastic(model, opt_factory, schedule,
+                                             dataset, eo);
+    diverged = r.result.diverged;
+    iterations = r.iterations;
+  }
   obs::tracer().set_enabled(false);
-  ASSERT_FALSE(res.result.diverged);
-  ASSERT_GT(res.iterations, 0);
+  ASSERT_FALSE(diverged);
+  ASSERT_GT(iterations, 0);
   ASSERT_GT(obs::tracer().span_count(), 0u);
 
   const std::string path = ::testing::TempDir() + "/smoke_trace.json";
@@ -83,19 +115,25 @@ TEST(TraceSmoke, InstrumentedTrainingProducesLoadableTrace) {
     EXPECT_TRUE(rank_lane[r]) << "rank " << r << " recorded no spans";
   }
 
-  // The per-phase summary that feeds the scaling-ratio report is present.
-  const auto stats = obs::tracer().summary();
-  bool phase_allreduce = false;
-  for (const auto& st : stats) {
-    if (st.name == "phase.allreduce") {
-      phase_allreduce = true;
-      EXPECT_EQ(st.count, res.iterations * kWorld);
-      EXPECT_GT(st.total_ns, 0);
-    }
+  // The per-phase summary that feeds the scaling-ratio report is present:
+  // on the serial path every phase once per iteration per rank.
+  std::map<std::string, obs::SpanStat> stats;
+  for (const auto& st : obs::tracer().summary()) stats[st.name] = st;
+  for (const char* phase : {"phase.data", "phase.forward", "phase.backward",
+                            "phase.allreduce", "phase.step"}) {
+    EXPECT_EQ(stats[phase].count, iterations * kWorld) << phase;
+    EXPECT_GT(stats[phase].total_ns, 0) << phase;
   }
-  EXPECT_TRUE(phase_allreduce);
   obs::tracer().clear();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, TraceSmokeDriver,
+    ::testing::Values("sync", "fault_tolerant", "elastic"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
 #endif  // MINSGD_TRACE_OFF
 
 TEST(TraceSmoke, DisabledTrainingRecordsNoSpans) {

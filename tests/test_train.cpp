@@ -9,6 +9,8 @@
 #include "optim/schedule.hpp"
 #include "optim/sgd.hpp"
 #include "train/async_trainer.hpp"
+#include "train/elastic.hpp"
+#include "train/fault_tolerant.hpp"
 #include "train/trainer.hpp"
 
 namespace minsgd {
@@ -196,6 +198,68 @@ TEST(TrainDistributed, BucketBytesValidatedUpFront) {
   EXPECT_THROW(run(-8), std::invalid_argument);  // negative
   EXPECT_GT(run(0).iterations, 0);               // 0 = single bucket, valid
   EXPECT_GT(run(4).iterations, 0);               // minimum legal bucket
+}
+
+// Every option is honoured or rejected alike: each option a synchronous
+// driver cannot honour throws std::invalid_argument from the sync, the
+// fault-tolerant and the elastic trainer, before any rank runs.
+TEST(TrainDistributed, EveryDriverRejectsTheSameOptions) {
+  data::SyntheticImageNet ds(tiny_data_cfg());
+  optim::ConstantLr lr(0.01);
+  const auto model = [] { return det_model(); };
+  const auto sgd = []() -> std::unique_ptr<optim::Optimizer> {
+    return std::make_unique<optim::Sgd>();
+  };
+  const auto sync = [&](const train::TrainOptions& o) {
+    train::train_sync_data_parallel(model, sgd, lr, ds, o, 2);
+  };
+  const auto fault_tolerant = [&](const train::TrainOptions& o) {
+    train::FaultTolerantOptions fo;
+    fo.train = o;
+    fo.checkpoint_path = ::testing::TempDir() + "/reject_options.ckpt";
+    train::train_sync_fault_tolerant(model, sgd, lr, ds, fo, 2);
+  };
+  const auto elastic = [&](const train::TrainOptions& o) {
+    train::ElasticOptions eo;
+    eo.train = o;
+    eo.local_batch = 16;
+    eo.initial_world = 2;
+    eo.max_world = 2;
+    train::train_sync_elastic(model, sgd, lr, ds, eo);
+  };
+
+  train::TrainOptions base;
+  base.global_batch = 32;
+  base.epochs = 1;
+  const auto with = [&](void (*edit)(train::TrainOptions&)) {
+    train::TrainOptions o = base;
+    edit(o);
+    return o;
+  };
+  const std::pair<const char*, train::TrainOptions> rejected[] = {
+      {"accumulation_steps",
+       with([](train::TrainOptions& o) { o.accumulation_steps = 2; })},
+      {"bucket_bytes < 4",
+       with([](train::TrainOptions& o) { o.bucket_bytes = 3; })},
+      {"negative bucket_bytes",
+       with([](train::TrainOptions& o) { o.bucket_bytes = -8; })},
+      {"overlap x 1-bit", with([](train::TrainOptions& o) {
+         o.overlap_comm = true;
+         o.compress_one_bit = true;
+       })},
+  };
+  for (const auto& [name, o] : rejected) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(sync(o), std::invalid_argument);
+    EXPECT_THROW(fault_tolerant(o), std::invalid_argument);
+    EXPECT_THROW(elastic(o), std::invalid_argument);
+  }
+  // Only the plain sync trainer runs 1-bit SGD: the error-feedback residual
+  // is in no checkpoint, so a restart or a join could not be exact.
+  const auto one_bit =
+      with([](train::TrainOptions& o) { o.compress_one_bit = true; });
+  EXPECT_THROW(fault_tolerant(one_bit), std::invalid_argument);
+  EXPECT_THROW(elastic(one_bit), std::invalid_argument);
 }
 
 TEST(TrainAsync, ParameterServerLearnsOnEasyTask) {
